@@ -18,29 +18,23 @@ import (
 // until the next RenumberInto on the same scratch. Not safe for
 // concurrent use.
 type RenumberScratch struct {
-	siteReg   []ir.Reg
-	siteAt    [][]int32
-	paramSite []int32
-	undefSite []int32
-	singleton []siteSet // singleton[s] == {s}: immutable, reused across runs
-	gens      [][]siteSet
-	in        [][]siteSet
-	out       [][]siteSet
-	cur       []siteSet
-	webOf     []int32
-	uf        unionFind
-	info      RenumberInfo
+	lo        []int32 // register v's definition sites are [lo[v], lo[v+1])
+	next      []int32 // next definition site per register during a walk
+	paramSite []int32 // parameter pseudo-definition site, -1 if none
+	undefSite []int32 // shared site of a register's undefined uses, -1 if none
 
-	// Per-block occupancy masks over the register index space: bit r
-	// of gensMask/inMask/outMask[b] is set exactly when the matching
-	// siteSet entry is non-nil. The dataflow loops walk set bits
-	// instead of all NumVirt entries, so blocks touching a handful of
-	// registers skip the empty 64-register spans word-at-a-time.
-	// Reaching-definition sets only ever grow, so the masks are
-	// monotone too.
-	gensMask [][]uint64
-	inMask   [][]uint64
-	outMask  [][]uint64
+	// Reaching definitions as bit vectors over the definition sites,
+	// one row of words per block: row b is [b*words, (b+1)*words).
+	gen   []uint64 // last definition of each register the block defines
+	kill  []uint64 // every site of each register the block defines
+	out   []uint64
+	entry []uint64 // parameter sites, merged into the entry block's in
+	cur   []uint64
+
+	webOf   []int32
+	origins []ir.Reg // backing store of the Origins rows
+	uf      unionFind
+	info    RenumberInfo
 
 	// Worklist scratch for the reaching-definitions fixpoint.
 	worklist   []int32
@@ -87,139 +81,105 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		}
 	}
 
-	// Enumerate definition sites. Site 0..len(Params)-1 are the
-	// parameter pseudo-definitions at entry; further sites follow in
-	// block/instruction order. Synthetic sites for uses with no
-	// reaching definition are appended on demand. Every per-register
-	// table below is a dense slice indexed by VirtNum — virtual
-	// registers are contiguous, so hashing them is pure overhead.
+	// Enumerate definition sites register by register: register v owns
+	// the contiguous range [lo[v], lo[v+1]), its parameter
+	// pseudo-definition at entry first (if v is a parameter), then its
+	// definitions in block/instruction order. Killing v is then clearing
+	// one range, and v's reaching definitions are the set bits inside
+	// it. Synthetic sites for uses with no reaching definition are
+	// appended past the last range on demand.
 	nv := f.NumVirt
 	nb := len(f.Blocks)
-	siteReg := ws.siteReg[:0] // original register each site defines
-	ws.siteAt = scratch.Rows(ws.siteAt, nb)
-	siteAt := ws.siteAt // def site per instruction, -1 if none
+	lo := scratch.Slice(ws.lo, nv+1)
 	paramSite := scratch.Fill(ws.paramSite, nv, int32(-1))
 	undefSite := scratch.Fill(ws.undefSite, nv, int32(-1))
-	ws.paramSite, ws.undefSite = paramSite, undefSite
+	ws.lo, ws.paramSite, ws.undefSite = lo, paramSite, undefSite
 	for _, p := range f.Params {
 		if p.IsVirt() && paramSite[p.VirtNum()] < 0 {
-			paramSite[p.VirtNum()] = int32(len(siteReg))
-			siteReg = append(siteReg, p)
+			paramSite[p.VirtNum()] = 0 // placed at lo[v] below
+			lo[p.VirtNum()+1]++
 		}
 	}
 	for _, b := range f.Blocks {
-		sa := scratch.Fill(siteAt[b.ID], len(b.Instrs), int32(-1))
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d.IsVirt() {
-				sa[i] = int32(len(siteReg))
-				siteReg = append(siteReg, d)
+				lo[d.VirtNum()+1]++
 			}
 		}
-		siteAt[b.ID] = sa
+	}
+	for v := 0; v < nv; v++ {
+		lo[v+1] += lo[v]
+		if paramSite[v] >= 0 {
+			paramSite[v] = lo[v]
+		}
+	}
+	nsites := int(lo[nv])
+	words := (nsites + 63) / 64
+	row := func(s []uint64, b ir.BlockID) []uint64 {
+		return s[int(b)*words : int(b+1)*words]
 	}
 
-	uf := &ws.uf
-	uf.reinit(len(siteReg))
-
-	// Reaching definitions, as per-register sets of site ids. Site
-	// sets are sorted, deduplicated slices treated as immutable, so
-	// the dataflow vectors can share them — and singleton sets can
-	// even be shared across runs, since singleton[s] is always {s}.
-	singleton := ws.singleton
-	single := func(s int32) siteSet {
-		for len(singleton) <= int(s) {
-			singleton = append(singleton, nil)
+	// Definitions are numbered by a per-register cursor that every pass
+	// restarts and advances in the same block/instruction order, so a
+	// definition gets the same site in each of them.
+	next := scratch.Slice(ws.next, nv)
+	ws.next = next
+	restart := func() {
+		for v := range next {
+			next[v] = lo[v]
+			if paramSite[v] >= 0 {
+				next[v]++
+			}
 		}
-		if singleton[s] == nil {
-			singleton[s] = siteSet{s}
-		}
-		return singleton[s]
 	}
-	defer func() { ws.singleton = singleton; ws.siteReg = siteReg }()
-	type regSites = []siteSet // indexed by VirtNum; nil = no reaching def
 
-	// Per-block gen (last def site per register), with occupancy masks.
-	nw := (nv + 63) / 64
-	ws.gens = scratch.Rows(ws.gens, nb)
-	ws.gensMask = scratch.Rows(ws.gensMask, nb)
-	ws.inMask = scratch.Rows(ws.inMask, nb)
-	ws.outMask = scratch.Rows(ws.outMask, nb)
-	gens := ws.gens
-	gensMask, inMask, outMask := ws.gensMask, ws.inMask, ws.outMask
+	// Per-block gen and kill.
+	gen := scratch.Slice(ws.gen, nb*words)
+	kill := scratch.Slice(ws.kill, nb*words)
+	out := scratch.Slice(ws.out, nb*words)
+	entry := scratch.Slice(ws.entry, words)
+	cur := scratch.Slice(ws.cur, words)
+	ws.gen, ws.kill, ws.out, ws.entry, ws.cur = gen, kill, out, entry, cur
+	restart()
 	for _, b := range f.Blocks {
-		g := scratch.Slice(gens[b.ID], nv)
-		gm := scratch.Slice(gensMask[b.ID], nw)
-		inMask[b.ID] = scratch.Slice(inMask[b.ID], nw)
-		outMask[b.ID] = scratch.Slice(outMask[b.ID], nw)
+		g, k := row(gen, b.ID), row(kill, b.ID)
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d.IsVirt() {
-				r := d.VirtNum()
-				g[r] = single(siteAt[b.ID][i])
-				gm[r>>6] |= 1 << (uint(r) & 63)
+				v := d.VirtNum()
+				s := next[v]
+				next[v]++
+				fillRange(k, lo[v], lo[v+1])
+				clearRange(g, lo[v], lo[v+1])
+				g[s>>6] |= 1 << (uint(s) & 63)
 			}
 		}
-		gens[b.ID] = g
-		gensMask[b.ID] = gm
+	}
+	for _, s := range paramSite {
+		if s >= 0 {
+			entry[s>>6] |= 1 << (uint(s) & 63)
+		}
 	}
 
-	// mergeIn accumulates in[b] = ∪ out[p] in place. The previous value
-	// of rs is never cleared first: out sets only grow, so the prior
-	// in[b] is always a subset of the fresh union and re-unioning on top
-	// of it yields the identical sets (and skips a full clearing walk
-	// per merge).
-	mergeIn := func(b *ir.Block, out []regSites, rs regSites) {
-		im := inMask[b.ID]
+	// meet loads cur with in[b]: the union of b's predecessors' out
+	// sets, plus the parameter sites at the entry block (which may have
+	// predecessors of its own through a back edge).
+	meet := func(b *ir.Block) {
 		if b.ID == 0 {
-			for _, p := range f.Params {
-				if p.IsVirt() {
-					r := p.VirtNum()
-					rs[r] = single(paramSite[r])
-					im[r>>6] |= 1 << (uint(r) & 63)
-				}
-			}
-		} else if len(b.Preds) == 1 {
-			// Straight-line fast path: in[b] is exactly out[pred]. The
-			// masks are monotone, so every register rs already holds is
-			// covered by the predecessor's mask and gets overwritten
-			// with the (equal-or-larger) predecessor set.
-			p := b.Preds[0]
-			po := out[p]
-			for wi, w := range outMask[p] {
-				base := wi << 6
-				for t := w; t != 0; t &= t - 1 {
-					r := base + bits.TrailingZeros64(t)
-					rs[r] = po[r]
-				}
-				im[wi] |= w
-			}
-			return
+			copy(cur, entry)
+		} else {
+			clear(cur)
 		}
 		for _, p := range b.Preds {
-			po := out[p]
-			for wi, w := range outMask[p] {
-				base := wi << 6
-				for t := w; t != 0; t &= t - 1 {
-					r := base + bits.TrailingZeros64(t)
-					rs[r] = unionSites(rs[r], po[r])
-				}
-				im[wi] |= w
+			for i, w := range row(out, p) {
+				cur[i] |= w
 			}
 		}
 	}
 
-	ws.in = scratch.Rows(ws.in, nb)
-	ws.out = scratch.Rows(ws.out, nb)
-	in, out := ws.in, ws.out
-	for i := range f.Blocks {
-		in[i] = scratch.Slice(in[i], nv)
-		out[i] = scratch.Slice(out[i], nv)
-	}
 	// Iterate to the fixpoint with a FIFO worklist: a block re-merges
-	// only after a predecessor's out actually changed, so stabilized
-	// regions drop out of the schedule instead of being re-unioned on
-	// every sweep. The union dataflow is monotone with a unique least
-	// fixpoint, so the final in/out sets are identical to the
-	// full-sweep schedule's.
+	// only after a predecessor's out actually changed. The union
+	// dataflow is monotone with a unique least fixpoint, so the
+	// schedule does not affect the result.
 	wl := ws.worklist[:0]
 	onWL := scratch.Slice(ws.onWorklist, nb)
 	for _, b := range f.Blocks {
@@ -227,31 +187,19 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 		onWL[b.ID] = true
 	}
 	for head := 0; head < len(wl); head++ {
-		bid := wl[head]
+		bid := ir.BlockID(wl[head])
 		onWL[bid] = false
 		b := f.Blocks[bid]
-		rs := in[bid]
-		mergeIn(b, out, rs)
-		blockChanged := false
-		bg, bo := gens[bid], out[bid]
-		im, gm, om := inMask[bid], gensMask[bid], outMask[bid]
-		for wi := range im {
-			w := im[wi] | gm[wi]
-			om[wi] = w
-			base := wi << 6
-			for t := w; t != 0; t &= t - 1 {
-				r := base + bits.TrailingZeros64(t)
-				sites := rs[r]
-				if g := bg[r]; g != nil {
-					sites = g
-				}
-				if !sitesEqual(bo[r], sites) {
-					bo[r] = sites
-					blockChanged = true
-				}
+		meet(b)
+		changed := false
+		g, k, o := row(gen, bid), row(kill, bid), row(out, bid)
+		for i, w := range cur {
+			if w = w&^k[i] | g[i]; w != o[i] {
+				o[i] = w
+				changed = true
 			}
 		}
-		if blockChanged {
+		if changed {
 			for _, s := range b.Succs {
 				if !onWL[s] {
 					onWL[s] = true
@@ -263,66 +211,80 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	ws.worklist, ws.onWorklist = wl[:0], onWL
 
 	// Walk each block, unioning every use with all of its reaching
-	// definitions.
-	reachingAt := func(cur regSites, u ir.Reg) int32 {
-		sites := cur[u.VirtNum()]
-		if len(sites) == 0 {
-			s := undefSite[u.VirtNum()]
-			if s < 0 {
-				s = int32(len(siteReg))
-				siteReg = append(siteReg, u)
-				undefSite[u.VirtNum()] = s
-				uf.grow(len(siteReg))
+	// definitions: the set bits of cur inside the register's range.
+	uf := &ws.uf
+	uf.reinit(nsites)
+	reachingAt := func(u ir.Reg) int32 {
+		v := u.VirtNum()
+		l, h := int(lo[v]), int(lo[v+1])
+		first := -1
+		for wi := l >> 6; wi<<6 < h; wi++ {
+			for w := cur[wi] & rangeMask(wi, l, h); w != 0; w &= w - 1 {
+				s := wi<<6 + bits.TrailingZeros64(w)
+				if first < 0 {
+					first = s
+				} else {
+					uf.union(first, s)
+				}
 			}
-			return s
 		}
-		first := sites[0]
-		for _, s := range sites[1:] {
-			uf.union(int(first), int(s))
+		if first >= 0 {
+			return int32(first)
 		}
-		return first
+		s := undefSite[v]
+		if s < 0 {
+			s = int32(len(uf.parent))
+			undefSite[v] = s
+			uf.grow(int(s) + 1)
+		}
+		return s
 	}
-	ws.cur = scratch.Slice(ws.cur, nv)
-	cur := ws.cur
+	define := func(d ir.Reg) int32 {
+		v := d.VirtNum()
+		s := next[v]
+		next[v]++
+		clearRange(cur, lo[v], lo[v+1])
+		cur[s>>6] |= 1 << (uint(s) & 63)
+		return s
+	}
+	restart()
 	for _, b := range f.Blocks {
-		copy(cur, in[b.ID])
+		meet(b)
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for _, u := range instr.Uses {
 				if u.IsVirt() {
-					reachingAt(cur, u)
+					reachingAt(u)
 				}
 			}
 			if d := instr.Def(); d.IsVirt() {
-				cur[d.VirtNum()] = single(siteAt[b.ID][i])
+				define(d)
 			}
 		}
 	}
 
-	// Assign web numbers to union-find roots, in deterministic
-	// (site-order) sequence, and rewrite operands in a second walk.
-	// siteReg is final now: the second walk resolves the same uses, so
-	// every undef site already exists.
-	ws.webOf = scratch.Fill(ws.webOf, len(siteReg), int32(-1))
+	// Assign web numbers to union-find roots, in deterministic (walk
+	// order) sequence, and rewrite operands in a second walk. Every
+	// undefined-use site exists now: the second walk resolves the same
+	// uses.
+	ws.webOf = scratch.Fill(ws.webOf, len(uf.parent), int32(-1))
 	webOf := ws.webOf
+	// Each web's Origins row starts as a one-register window on a
+	// shared buffer with a slot per site, enough for every web.
+	origins := scratch.Slice(ws.origins, len(uf.parent))
+	ws.origins = origins
 	info := &ws.info
-	recycled := info.Origins // previous run's rows, recycled by index
 	info.NumWebs = 0
-	info.Origins = recycled[:0]
-	webFor := func(site int32) ir.Reg {
+	info.Origins = info.Origins[:0]
+	webFor := func(site int32, orig ir.Reg) ir.Reg {
 		root := uf.find(int(site))
 		w := webOf[root]
 		if w < 0 {
 			w = int32(info.NumWebs)
 			webOf[root] = w
-			var row []ir.Reg
-			if info.NumWebs < len(recycled) {
-				row = recycled[info.NumWebs][:0]
-			}
 			info.NumWebs++
-			info.Origins = append(info.Origins, row)
+			info.Origins = append(info.Origins, origins[w:w:w+1])
 		}
-		orig := siteReg[site]
 		found := false
 		for _, r := range info.Origins[w] {
 			if r == orig {
@@ -340,25 +302,24 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	newParams := make([]ir.Reg, len(f.Params))
 	for i, p := range f.Params {
 		if p.IsVirt() {
-			newParams[i] = webFor(paramSite[p.VirtNum()])
+			newParams[i] = webFor(paramSite[p.VirtNum()], p)
 		} else {
 			newParams[i] = p
 		}
 	}
 
+	restart()
 	for _, b := range f.Blocks {
-		copy(cur, in[b.ID])
+		meet(b)
 		for i := range b.Instrs {
 			instr := &b.Instrs[i]
 			for ui, u := range instr.Uses {
 				if u.IsVirt() {
-					instr.Uses[ui] = webFor(reachingAt(cur, u))
+					instr.Uses[ui] = webFor(reachingAt(u), u)
 				}
 			}
 			if d := instr.Def(); d.IsVirt() {
-				site := siteAt[b.ID][i]
-				instr.Defs[0] = webFor(site)
-				cur[d.VirtNum()] = single(site)
+				instr.Defs[0] = webFor(define(d), d)
 			}
 		}
 	}
@@ -368,73 +329,31 @@ func RenumberInto(f *ir.Func, ws *RenumberScratch) (*RenumberInfo, error) {
 	return info, nil
 }
 
-// siteSet is a sorted, deduplicated list of definition-site ids,
-// treated as immutable once built so maps may share instances.
-type siteSet []int32
-
-// unionSites merges two site sets, returning an existing set when one
-// contains the other.
-func unionSites(a, b siteSet) siteSet {
-	if len(a) == 0 {
-		return b
+// rangeMask returns the bits of word wi that fall inside [lo, hi).
+func rangeMask(wi, lo, hi int) uint64 {
+	base := wi << 6
+	m := ^uint64(0)
+	if lo > base {
+		m <<= uint(lo - base)
 	}
-	if len(b) == 0 {
-		return a
+	if hi < base+64 {
+		m &^= ^uint64(0) << uint(hi-base)
 	}
-	// Fast path: identical or containment.
-	if sitesSubset(b, a) {
-		return a
-	}
-	if sitesSubset(a, b) {
-		return b
-	}
-	out := make(siteSet, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return m
 }
 
-func sitesSubset(a, b siteSet) bool { // a ⊆ b
-	if len(a) > len(b) {
-		return false
+// fillRange sets bits [lo, hi) of s.
+func fillRange(s []uint64, lo, hi int32) {
+	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
+		s[wi] |= rangeMask(wi, int(lo), int(hi))
 	}
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j >= len(b) || b[j] != x {
-			return false
-		}
-	}
-	return true
 }
 
-func sitesEqual(a, b siteSet) bool {
-	if len(a) != len(b) {
-		return false
+// clearRange clears bits [lo, hi) of s.
+func clearRange(s []uint64, lo, hi int32) {
+	for wi := int(lo) >> 6; wi<<6 < int(hi); wi++ {
+		s[wi] &^= rangeMask(wi, int(lo), int(hi))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // unionFind is a standard disjoint-set structure with path compression

@@ -182,6 +182,7 @@ type Report struct {
 	Rejected429   int     `json:"rejected_429"`
 	Timeouts      int     `json:"timeouts"`
 	Errors        int     `json:"errors"`
+	Cancelled     int     `json:"cancelled"` // cut off by the run deadline
 	ThroughputRPS float64 `json:"throughput_rps"`
 	LatencyP50MS  float64 `json:"latency_p50_ms"`
 	LatencyP90MS  float64 `json:"latency_p90_ms"`
@@ -392,6 +393,20 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 			Digest: digest, Replica: replica, CacheHit: hit, LatencyMS: ms,
 		})
 	}
+	// failed records a request whose response never fully arrived: a
+	// hard error while the run is live, a cancellation once its
+	// deadline has cut the request off.
+	failed := func(item, status int, replica string, t0 time.Time) {
+		mu.Lock()
+		if runCtx.Err() != nil {
+			rep.Cancelled++
+			mu.Unlock()
+			return
+		}
+		rep.Errors++
+		mu.Unlock()
+		observe(item, status, "", replica, false, float64(time.Since(t0).Microseconds())/1000)
+	}
 	takeBudget := func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -480,19 +495,21 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 				req.Header.Set("Content-Type", contentType)
 				resp, err := client.Do(req)
 				if err != nil {
-					if runCtx.Err() == nil {
-						mu.Lock()
-						rep.Errors++
-						mu.Unlock()
-						observe(i, 0, "", "", false, float64(time.Since(t0).Microseconds())/1000)
-					}
+					failed(i, 0, "", t0)
 					continue
 				}
-				payload, _ := io.ReadAll(resp.Body)
+				payload, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				replica := resp.Header.Get(server.ReplicaHeader)
+				if err != nil {
+					// The run deadline can cut a response off after its
+					// headers arrived; the truncated body is then a
+					// cancellation, not a daemon fault.
+					failed(i, resp.StatusCode, replica, t0)
+					continue
+				}
 				elapsed := time.Since(t0)
 				ms := float64(elapsed.Microseconds()) / 1000
-				replica := resp.Header.Get(server.ReplicaHeader)
 
 				mu.Lock()
 				switch resp.StatusCode {

@@ -123,6 +123,45 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 }
 
+// TestRunStalledBodyIsCancelled pins the classification behind the
+// smoke test's zero-error assertion: a server that sends 200 headers
+// and then stalls the body past the run deadline leaves every request
+// cut off mid-read, and those count as cancelled, not hard errors.
+func TestRunStalledBodyIsCancelled(t *testing.T) {
+	stall := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"digest":`)
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-stall:
+		}
+	}))
+	defer ts.Close()
+	defer close(stall)
+
+	rep, err := Run(context.Background(), Options{
+		BaseURL:     ts.URL,
+		Corpus:      []Item{{Name: "f", Source: "func f() {\nb0:\n  ret\n}\n"}},
+		Concurrency: 2,
+		Duration:    200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Errorf("hard errors: %d, want 0", rep.Errors)
+	}
+	if rep.OK != 0 {
+		t.Errorf("ok = %d from a server that never finishes a body", rep.OK)
+	}
+	if rep.Cancelled != rep.Requests || rep.Cancelled == 0 {
+		t.Errorf("cancelled = %d of %d requests, want all and at least one", rep.Cancelled, rep.Requests)
+	}
+}
+
 func TestCorpusFromProfiles(t *testing.T) {
 	m := target.UsageModel(16)
 	corpus, err := CorpusFromProfiles("compress,jess", m)

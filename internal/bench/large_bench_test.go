@@ -1,20 +1,28 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"prefcolor/internal/ir"
+	"prefcolor/internal/linearscan"
 	"prefcolor/internal/regalloc"
 	"prefcolor/internal/target"
 	"prefcolor/internal/workload"
 )
 
 // digestAllocators are the configurations the golden digest pins: the
-// full preference allocator (core package) and the Chaitin base
-// (regalloc helpers), together covering both allocation code paths.
-var digestAllocators = []string{"chaitin", "pref-full"}
+// full preference allocator (core package), the Chaitin base
+// (regalloc helpers), Chow & Hennessy's priority coloring, and the
+// linear-scan driver adapter — between them every driver-side reader
+// of the liveness solution. The golden's linearscan-fast line pins
+// the serving fast path (linearscan.Run) as well.
+var digestAllocators = []string{"chaitin", "pref-full", "priority", "linearscan"}
 
 const digestGolden = "testdata/digest_large.txt"
 
@@ -39,6 +47,11 @@ func TestLargeWorkloadDigestGolden(t *testing.T) {
 		}
 		lines = append(lines, name+" "+d)
 	}
+	fast, err := fastPathDigest(funcs, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, "linearscan-fast "+fast)
 	got := strings.Join(lines, "\n") + "\n"
 
 	if os.Getenv("UPDATE_DIGESTS") != "" {
@@ -59,6 +72,21 @@ func TestLargeWorkloadDigestGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("allocation digest changed:\ngot:\n%swant:\n%s", got, want)
 	}
+}
+
+// fastPathDigest runs the serving fast path over funcs, in order, and
+// hashes every function's FuncDigest record.
+func fastPathDigest(funcs []*ir.Func, m *target.Machine) (string, error) {
+	h := sha256.New()
+	ws := linearscan.NewFastWorkspace()
+	for _, f := range funcs {
+		out, stats, err := linearscan.Run(f, m, linearscan.RunOptions{Workspace: ws})
+		if err != nil {
+			return "", fmt.Errorf("fast path %s: %w", f.Name, err)
+		}
+		fmt.Fprintln(h, FuncDigest(f.Name, stats, out))
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // BenchmarkAllocateAllLarge times the parallel batch driver over the

@@ -80,6 +80,12 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 	}
 	setBit := func(row []uint64, n NodeID) { row[int(n)>>6] |= 1 << (uint(n) & 63) }
 	clearBit := func(row []uint64, n NodeID) { row[int(n)>>6] &^= 1 << (uint(n) & 63) }
+	// loadLive replaces liveRow with a liveness row (Reg-indexed)
+	// mapped into node space.
+	loadLive := func(row []uint64) {
+		clear(liveRow)
+		liveness.ForEach(row, func(r ir.Reg) { setBit(liveRow, g.NodeOf(r)) })
+	}
 
 	// edgesToLive interferes node dn with every bit of src except dn
 	// itself and (for copies) the copy source: per word, the new
@@ -112,9 +118,7 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 	// any web lacking a dominating definition) simultaneously: they
 	// all interfere pairwise. Writing row |= live &^ self for every
 	// member builds the full symmetric clique.
-	for r := range live.LiveIn(0) {
-		setBit(liveRow, g.NodeOf(r))
-	}
+	loadLive(live.LiveIn(0))
 	for wi, w := range liveRow {
 		base := NodeID(wi << 6)
 		for t := w; t != 0; t &= t - 1 {
@@ -128,12 +132,7 @@ func BuildInto(ws *GraphScratch, f *ir.Func, m *target.Machine, loops *cfg.LoopI
 
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
-		for i := range liveRow {
-			liveRow[i] = 0
-		}
-		for r := range live.LiveOut(b.ID) {
-			setBit(liveRow, g.NodeOf(r))
-		}
+		loadLive(live.LiveOut(b.ID))
 		for idx := len(b.Instrs) - 1; idx >= 0; idx-- {
 			in := &b.Instrs[idx]
 			// Defs interfere with everything live after the

@@ -12,13 +12,13 @@ import (
 )
 
 // buildReference is the pre-word-kernel builder: per-element AddEdge
-// loops over map live sets, retained as the oracle the bulk-OR kernels
+// loops over the live registers listed one by one, retained as the oracle the bulk-OR kernels
 // must match bit for bit — adjacency, degrees, and move list included.
 func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 	g := NewGraph(m.NumRegs, f.NumVirt)
 	live := liveness.Compute(f)
 
-	entryLive := live.LiveIn(0).Sorted()
+	entryLive := regsOf(live.LiveIn(0))
 	for i, a := range entryLive {
 		for _, b := range entryLive[i+1:] {
 			g.AddEdge(g.NodeOf(a), g.NodeOf(b))
@@ -31,10 +31,11 @@ func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 
 	for _, b := range f.Blocks {
 		freq := loops.Freq(b.ID)
-		live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter ir.RegSet) {
+		live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfterRow []uint64) {
+			liveAfter := regsOf(liveAfterRow)
 			for _, d := range in.Defs {
 				dn := g.NodeOf(d)
-				for l := range liveAfter {
+				for _, l := range liveAfter {
 					ln := g.NodeOf(l)
 					if ln == dn {
 						continue
@@ -47,7 +48,7 @@ func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 			}
 			if in.Op == ir.Call {
 				def := in.Def()
-				for l := range liveAfter {
+				for _, l := range liveAfter {
 					if l == def {
 						continue
 					}
@@ -70,6 +71,13 @@ func buildReference(f *ir.Func, m *target.Machine, loops *cfg.LoopInfo) *Graph {
 
 	g.Freeze()
 	return g
+}
+
+// regsOf lists a liveness row's registers in increasing order.
+func regsOf(row []uint64) []ir.Reg {
+	var out []ir.Reg
+	liveness.ForEach(row, func(r ir.Reg) { out = append(out, r) })
+	return out
 }
 
 // TestBuildMatchesReference runs the word-kernel builder and the

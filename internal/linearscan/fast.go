@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"prefcolor/internal/ir"
+	"prefcolor/internal/liveness"
 	"prefcolor/internal/regalloc"
 	buf "prefcolor/internal/scratch"
 	"prefcolor/internal/target"
@@ -27,11 +28,10 @@ import (
 //     entry point defines everything live into it — which one
 //     backward walk over the liveness solution collects into a
 //     per-register forbidden-set bitmask.
-//   - No map-based liveness. The general analysis tracks RegSet maps
-//     so φ-aware consumers can iterate registers by identity; the
-//     fast path re-solves the same backward dataflow on dense bit
-//     rows, and the hulls, conflict masks, and copy partners all
-//     fall out of one backward walk over that solution.
+//   - One backward walk. The hulls, conflict masks, and copy
+//     partners all fall out of a single walk over the liveness
+//     package's dense rows, the same solution every other consumer
+//     reads.
 //   - No caller-save scan. The clobber masks forbid volatile
 //     registers to every value live across a call, so the rewrite
 //     can never need a save — it passes a nil liveness to
@@ -60,17 +60,12 @@ type RunOptions struct {
 	Workspace *Workspace
 }
 
-// Workspace is the fast path's scratch arena: the dense liveness
-// solution, the scan state, the forbidden-set masks, and the spill
-// bookkeeping, reused across rounds and across Run calls.
+// Workspace is the fast path's scratch arena: the liveness solution,
+// the scan state, the forbidden-set masks, and the spill bookkeeping,
+// reused across rounds and across Run calls.
 type Workspace struct {
-	s scratch
-
-	// Dense liveness rows, one stride per block: virtual registers
-	// (vw words) and physical registers (pw words) kept separate so
-	// the conflict rules can iterate exactly the kind they need.
-	genV, killV, inV, outV []uint64
-	genP, killP, inP, outP []uint64
+	s    scratch
+	live liveness.Scratch
 
 	forbid   []uint64   // per web, pw words of forbidden registers
 	livePhys []uint64   // backward-walk live physical registers
@@ -132,8 +127,7 @@ func Run(input *ir.Func, m *target.Machine, opts RunOptions) (*ir.Func, *regallo
 		}
 		s := &ws.s
 		s.reset(nw, k)
-		ws.solveLiveness(f, nw, pw)
-		ws.prepare(f, nw, pw, volMask)
+		ws.prepare(f, liveness.ComputeInto(f, &ws.live), nw, pw, volMask)
 		s.sortOrder()
 
 		ws.colors = buf.Fill(ws.colors, nw, -1)
@@ -195,87 +189,7 @@ func Run(input *ir.Func, m *target.Machine, opts RunOptions) (*ir.Func, *regallo
 	return nil, nil, fmt.Errorf("linearscan: did not converge in %d rounds", maxRounds)
 }
 
-// solveLiveness runs the standard backward live-variable dataflow on
-// dense bit rows: per block, in = gen ∪ (out ∖ kill) and out is the
-// union of successors' in, iterated in reverse layout order to a
-// fixed point. The input is φ-free (Run rejects φ up front), so the
-// general analysis's φ edge handling has nothing to do here and the
-// two solutions agree.
-func (ws *Workspace) solveLiveness(f *ir.Func, nw, pw int) {
-	nb := len(f.Blocks)
-	vw := (nw + 63) / 64
-	ws.genV = buf.Slice(ws.genV, nb*vw)
-	ws.killV = buf.Slice(ws.killV, nb*vw)
-	ws.inV = buf.Slice(ws.inV, nb*vw)
-	ws.outV = buf.Slice(ws.outV, nb*vw)
-	ws.genP = buf.Slice(ws.genP, nb*pw)
-	ws.killP = buf.Slice(ws.killP, nb*pw)
-	ws.inP = buf.Slice(ws.inP, nb*pw)
-	ws.outP = buf.Slice(ws.outP, nb*pw)
-
-	set := func(row []uint64, n int) { row[n>>6] |= 1 << (uint(n) & 63) }
-	clr := func(row []uint64, n int) { row[n>>6] &^= 1 << (uint(n) & 63) }
-
-	for _, b := range f.Blocks {
-		gV, kV := ws.genV[int(b.ID)*vw:][:vw], ws.killV[int(b.ID)*vw:][:vw]
-		gP, kP := ws.genP[int(b.ID)*pw:][:pw], ws.killP[int(b.ID)*pw:][:pw]
-		for idx := len(b.Instrs) - 1; idx >= 0; idx-- {
-			in := &b.Instrs[idx]
-			for _, d := range in.Defs {
-				if d.IsVirt() {
-					set(kV, d.VirtNum())
-					clr(gV, d.VirtNum())
-				} else if d.IsPhys() {
-					set(kP, d.PhysNum())
-					clr(gP, d.PhysNum())
-				}
-			}
-			for _, u := range in.Uses {
-				if u.IsVirt() {
-					set(gV, u.VirtNum())
-				} else if u.IsPhys() {
-					set(gP, u.PhysNum())
-				}
-			}
-		}
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for i := nb - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			oV, oP := ws.outV[i*vw:][:vw], ws.outP[i*pw:][:pw]
-			for _, sc := range b.Succs {
-				sV, sP := ws.inV[int(sc)*vw:][:vw], ws.inP[int(sc)*pw:][:pw]
-				for j := range oV {
-					oV[j] |= sV[j]
-				}
-				for j := range oP {
-					oP[j] |= sP[j]
-				}
-			}
-			iV, iP := ws.inV[i*vw:][:vw], ws.inP[i*pw:][:pw]
-			gV, kV := ws.genV[i*vw:][:vw], ws.killV[i*vw:][:vw]
-			gP, kP := ws.genP[i*pw:][:pw], ws.killP[i*pw:][:pw]
-			for j := range iV {
-				n := gV[j] | (oV[j] &^ kV[j])
-				if n != iV[j] {
-					iV[j] = n
-					changed = true
-				}
-			}
-			for j := range iP {
-				n := gP[j] | (oP[j] &^ kP[j])
-				if n != iP[j] {
-					iP[j] = n
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// prepare derives everything the scan needs from the dense liveness
+// prepare derives everything the scan needs from the liveness
 // solution in one backward walk per block: the interval hulls (block
 // boundaries carry the live-in/live-out sets, each def or use covers
 // its own position), the exact phys-versus-web conflict masks
@@ -283,7 +197,14 @@ func (ws *Workspace) solveLiveness(f *ir.Func, nw, pw int) {
 // entry clique, defs against everything live after them minus the
 // copy-source exception, call clobbers against everything live
 // across the call), and each web's copy partners.
-func (ws *Workspace) prepare(f *ir.Func, nw, pw int, volMask []uint64) {
+//
+// The walk keeps virtual and physical registers in separate rows so
+// each conflict rule iterates exactly the kind it needs. The virtual
+// row is a liveness row's virtual half verbatim; the physical row is
+// indexed by machine register number, like the forbid and volatile
+// masks and the scan itself, so loading it shifts the liveness row
+// (physical register p at bit p+1) down one bit.
+func (ws *Workspace) prepare(f *ir.Func, live *liveness.Info, nw, pw int, volMask []uint64) {
 	s := &ws.s
 	vw := (nw + 63) / 64
 	ws.forbid = buf.Slice(ws.forbid, nw*pw)
@@ -304,13 +225,6 @@ func (ws *Workspace) prepare(f *ir.Func, nw, pw int, volMask []uint64) {
 			s.end[w] = p
 		}
 	}
-	touchLiveVirt := func(p int32) {
-		for wi, wbits := range ws.liveVirt {
-			for t := wbits; t != 0; t &= t - 1 {
-				touch(wi<<6+bits.TrailingZeros64(t), p)
-			}
-		}
-	}
 	// eachLiveVirt visits the live virtual registers, skipping skip
 	// (-1 skips nothing).
 	eachLiveVirt := func(skip int, fn func(v int)) {
@@ -323,25 +237,35 @@ func (ws *Workspace) prepare(f *ir.Func, nw, pw int, volMask []uint64) {
 			}
 		}
 	}
+	touchLiveVirt := func(p int32) { eachLiveVirt(-1, func(v int) { touch(v, p) }) }
+
+	// loadLive sets the walk rows to the liveness row src.
+	loadLive := func(src []uint64) {
+		copy(ws.liveVirt, liveness.VirtHalf(src))
+		for j := range ws.livePhys {
+			ws.livePhys[j] = src[j] >> 1
+			if j+1 < int(ir.FirstVirtual)/64 {
+				ws.livePhys[j] |= src[j+1] << 63
+			}
+		}
+	}
 
 	// Function entry defines every value live into it simultaneously:
 	// each virtual member conflicts with each physical member.
-	entryP := ws.inP[:pw]
+	loadLive(live.LiveIn(0))
 	anyPhys := false
-	for _, m := range entryP {
+	for _, m := range ws.livePhys {
 		if m != 0 {
 			anyPhys = true
 		}
 	}
 	if anyPhys {
-		for wi, wbits := range ws.inV[:vw] {
-			for t := wbits; t != 0; t &= t - 1 {
-				row := forbidRow(wi<<6 + bits.TrailingZeros64(t))
-				for j, m := range entryP {
-					row[j] |= m
-				}
+		eachLiveVirt(-1, func(v int) {
+			row := forbidRow(v)
+			for j, m := range ws.livePhys {
+				row[j] |= m
 			}
-		}
+		})
 	}
 
 	pos := int32(0)
@@ -350,8 +274,7 @@ func (ws *Workspace) prepare(f *ir.Func, nw, pw int, volMask []uint64) {
 		endPos := startPos + int32(len(b.Instrs)) + 1
 		pos = endPos + 1
 
-		copy(ws.liveVirt, ws.outV[int(b.ID)*vw:][:vw])
-		copy(ws.livePhys, ws.outP[int(b.ID)*pw:][:pw])
+		loadLive(live.LiveOut(b.ID))
 		touchLiveVirt(endPos)
 
 		for idx := len(b.Instrs) - 1; idx >= 0; idx-- {

@@ -1,6 +1,7 @@
 // Package linearscan is the fast-tier register allocator: a
 // linear-scan allocation over conservative live-interval hulls, built
-// directly from the liveness sets the driver already computes.
+// from the liveness package's per-block bit rows — the one liveness
+// solution every consumer reads.
 //
 // Where the preference-directed allocator builds a precedence graph
 // and runs a global selection loop, this allocator flattens the
@@ -133,11 +134,7 @@ func (s *scratch) buildHulls(f *ir.Func, live *liveness.Info) {
 	}
 	pos := int32(0)
 	for _, b := range f.Blocks {
-		for r := range live.LiveIn(b.ID) {
-			if r.IsVirt() {
-				touch(r.VirtNum(), pos)
-			}
-		}
+		liveness.ForEachVirt(live.LiveIn(b.ID), func(w int) { touch(w, pos) })
 		for i := range b.Instrs {
 			pos++
 			in := &b.Instrs[i]
@@ -153,11 +150,7 @@ func (s *scratch) buildHulls(f *ir.Func, live *liveness.Info) {
 			}
 		}
 		pos++
-		for r := range live.LiveOut(b.ID) {
-			if r.IsVirt() {
-				touch(r.VirtNum(), pos)
-			}
-		}
+		liveness.ForEachVirt(live.LiveOut(b.ID), func(w int) { touch(w, pos) })
 		pos++
 	}
 

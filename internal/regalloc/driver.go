@@ -660,21 +660,17 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 		if live == nil {
 			break
 		}
-		live.ForEachInstrReverse(b, func(i int, in *ir.Instr, liveAfter ir.RegSet) {
+		live.ForEachInstrReverse(b, func(i int, in *ir.Instr, liveAfter []uint64) {
 			if in.Op != ir.Call {
 				return
 			}
-			var webs []int
-			for r := range liveAfter {
-				if !r.IsVirt() || r == in.Def() {
-					continue
+			var webs []int // increasing, as ForEachVirt visits them
+			liveness.ForEachVirt(liveAfter, func(w int) {
+				if ir.Virt(w) != in.Def() && m.IsVolatile(colors[w]) {
+					webs = append(webs, w)
 				}
-				if m.IsVolatile(colors[r.VirtNum()]) {
-					webs = append(webs, r.VirtNum())
-				}
-			}
+			})
 			if len(webs) > 0 {
-				sortInts(webs)
 				saves[b.ID] = append(saves[b.ID], savePoint{idx: i, webs: webs})
 			}
 		})
@@ -761,12 +757,4 @@ func RewriteColored(f *ir.Func, m *target.Machine, live *liveness.Info, colors [
 		return nil, fmt.Errorf("regalloc: rewrite produced invalid IR: %w", err)
 	}
 	return f, nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

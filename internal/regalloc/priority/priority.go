@@ -17,6 +17,7 @@ import (
 
 	"prefcolor/internal/ig"
 	"prefcolor/internal/ir"
+	"prefcolor/internal/liveness"
 	"prefcolor/internal/regalloc"
 )
 
@@ -40,12 +41,8 @@ func (*Allocator) Allocate(ctx *regalloc.Context) (*regalloc.Result, error) {
 	// quotient.
 	size := make([]float64, ctx.F.NumVirt)
 	for _, b := range ctx.F.Blocks {
-		ctx.Live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter ir.RegSet) {
-			for r := range liveAfter {
-				if r.IsVirt() {
-					size[r.VirtNum()]++
-				}
-			}
+		ctx.Live.ForEachInstrReverse(b, func(_ int, in *ir.Instr, liveAfter []uint64) {
+			liveness.ForEachVirt(liveAfter, func(w int) { size[w]++ })
 			for _, d := range in.Defs {
 				if d.IsVirt() {
 					size[d.VirtNum()]++

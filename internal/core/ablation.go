@@ -87,8 +87,8 @@ func Variants() []AblationVariant {
 // chainCPG builds, into c, the degenerate precedence graph of the
 // NoCPG ablation: a single chain in Chaitin select order (reverse of
 // the removal stack), every node also pointing at Bottom.
-func chainCPG(c *CPG, stack []ig.NodeID) {
-	c.reset()
+func chainCPG(c *CPG, g *ig.Graph, stack []ig.NodeID) {
+	c.reset(g.NumNodes())
 	if len(stack) == 0 {
 		return
 	}

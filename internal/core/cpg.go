@@ -19,39 +19,25 @@ const (
 	Bottom ig.NodeID = -2
 )
 
-// cpgIdx maps a node id to its slot in the CPG's slice-indexed
-// storage: Bottom and Top occupy the first two slots, real nodes
-// follow at id+2.
+// cpgIdx maps a node id to its slot in the CPG's rows: Bottom and Top
+// occupy the first two slots, real nodes follow at id+2. Slots number
+// both the rows and the bits within a row, so ascending bit order is
+// ascending node id.
 func cpgIdx(n ig.NodeID) int { return int(n) + 2 }
 
 // CPG is the Coloring Precedence Graph (§5.2): the partial order on
 // register-selection obtained by relaxing the simplification stack's
 // total order without giving up the colorability the stack guarantees.
-// Successor and predecessor lists are slices indexed by node id + 2
-// (dense, like everything downstream of the renumbered graph), grown
-// on demand.
+// Each slot owns one successor bit row: bit j of row i is the edge
+// from slot i to slot j. Predecessors are read down a column.
 type CPG struct {
-	succs [][]ig.NodeID
-	preds [][]ig.NodeID
+	slots, words int
+	succ         []uint64 // slots rows of words words each, flat
 
-	// Positional back-pointers pairing the two views of each edge:
-	// succPos[a][j] is the index of a's entry in preds[b] for the edge
-	// a→b = succs[a][j], and predPos mirrors it. They make removeEdge a
-	// pair of O(1) swap-removes — without them the removal had to
-	// re-find a by scanning preds[b], and preds[Bottom] holds nearly
-	// every node, so each transitive-reduction prune paid a full pass
-	// over that row. Nothing downstream reads row order (selection
-	// counts rows and walks nodes in ascending id; Succs/Preds/Dump
-	// sort), so swap-remove is observationally free.
-	succPos [][]int32
-	predPos [][]int32
-
-	// Epoch-marked visited buffer for reachability queries, indexed
-	// like succs/preds, plus reusable DFS scratch space.
-	visitMark  []uint32
-	visitEpoch uint32
-	work       []ig.NodeID
-	scratch    []ig.NodeID
+	// desc is construction-only, shaped like succ. Once node n is
+	// popped, its row holds every slot n reaches by a non-empty path;
+	// bit 0 (Bottom's slot) is n's reaches-Bottom bit.
+	desc []uint64
 
 	// Construction-only scratch, reused across rebuilds of this CPG
 	// (buildCPGInto): stack membership as a bitset shaped like the
@@ -65,49 +51,35 @@ type CPG struct {
 	remaining   []ig.NodeID
 }
 
-// reset empties the graph for a rebuild while keeping every backing
-// array. Edge rows are truncated in place, the visit marks return to a
-// fresh epoch-zero state, and the next build starts from the exact
-// observable state of a zero-valued CPG.
-func (c *CPG) reset() {
-	for i := range c.succs {
-		c.succs[i] = c.succs[i][:0]
-		c.preds[i] = c.preds[i][:0]
-		c.succPos[i] = c.succPos[i][:0]
-		c.predPos[i] = c.predPos[i][:0]
-	}
-	clear(c.visitMark)
-	c.visitEpoch = 0
+// reset empties the graph and sizes it for a graph of numNodes nodes,
+// keeping the backing array.
+func (c *CPG) reset(numNodes int) {
+	c.slots = cpgIdx(ig.NodeID(numNodes))
+	c.words = (c.slots + 63) >> 6
+	c.succ = scratch.Slice(c.succ, c.slots*c.words)
 }
 
-// ensure grows the edge storage to cover slot i.
-func (c *CPG) ensure(i int) {
-	for i >= len(c.succs) {
-		c.succs = append(c.succs, nil)
-		c.preds = append(c.preds, nil)
-		c.succPos = append(c.succPos, nil)
-		c.predPos = append(c.predPos, nil)
-	}
-	for i >= len(c.visitMark) {
-		c.visitMark = append(c.visitMark, 0)
-	}
+// row returns slot i's successor row.
+func (c *CPG) row(i int) []uint64 {
+	return c.succ[i*c.words : (i+1)*c.words : (i+1)*c.words]
 }
 
-// succsOf returns n's successor list (nil when n has none).
-func (c *CPG) succsOf(n ig.NodeID) []ig.NodeID {
-	if i := cpgIdx(n); i < len(c.succs) {
-		return c.succs[i]
+// succRow returns n's successor row, or nil when n has no slot.
+func (c *CPG) succRow(n ig.NodeID) []uint64 {
+	if i := cpgIdx(n); i >= 0 && i < c.slots {
+		return c.row(i)
 	}
 	return nil
 }
 
-// predsOf returns n's predecessor list (nil when n has none).
-func (c *CPG) predsOf(n ig.NodeID) []ig.NodeID {
-	if i := cpgIdx(n); i < len(c.preds) {
-		return c.preds[i]
-	}
-	return nil
-}
+// setBit sets bit i of row.
+func setBit(row []uint64, i int) { row[i>>6] |= 1 << (uint(i) & 63) }
+
+// hasBit reports whether bit i of row is set.
+func hasBit(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// addEdge adds a→b.
+func (c *CPG) addEdge(a, b ig.NodeID) { setBit(c.row(cpgIdx(a)), cpgIdx(b)) }
 
 // BuildCPG runs the paper's nine-step construction.
 //
@@ -129,8 +101,18 @@ func BuildCPG(g *ig.Graph, stack []ig.NodeID, potentialSpill []bool, k int) (*CP
 // previously used) CPG: the graph is reset and rebuilt in its existing
 // storage, and all construction scratch lives on the CPG itself.
 func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool, k int) error {
-	c.reset()
-	c.ensure(cpgIdx(ig.NodeID(g.NumNodes() - 1)))
+	c.reset(g.NumNodes())
+	words := c.words
+	// Every desc row is written at its node's pop before anything
+	// reads it, so the buffer is resized without clearing.
+	if cap(c.desc) < len(c.succ) {
+		c.desc = make([]uint64, len(c.succ))
+	}
+	c.desc = c.desc[:len(c.succ)]
+	// Bottom's row is read like any successor's but adds nothing: an
+	// edge to Bottom is already in the successor row each desc row
+	// starts from.
+	clear(c.desc[:words])
 
 	c.presentBits = scratch.Slice(c.presentBits, g.WordsPerRow())
 	present := c.presentBits
@@ -138,10 +120,10 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 		if g.IsPhys(n) {
 			return fmt.Errorf("core.BuildCPG: physical node %d on the stack", n)
 		}
-		if present[int(n)>>6]&(1<<(uint(n)&63)) != 0 {
+		if hasBit(present, int(n)) {
 			return fmt.Errorf("core.BuildCPG: node %d on the stack twice", n)
 		}
-		present[int(n)>>6] |= 1 << (uint(n) & 63)
+		setBit(present, int(n))
 	}
 
 	// WIG degrees: original adjacency restricted to stack (web) nodes —
@@ -162,23 +144,25 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 	inCPG, ready := c.inCPG, c.ready
 
 	// Step 4: initial low-degree nodes (ready) and potential-spill
-	// nodes (not ready) hang off Bottom. addEdgeNew is safe here and
-	// throughout the replay: every slot was ensured above, and each edge
-	// the construction requests is provably new (one Bottom edge per
-	// stack node, one pop per node, deduplicated neighbor lists).
+	// nodes (not ready) hang off Bottom.
 	for _, n := range stack {
 		switch {
 		case wigDeg[n] < k:
 			inCPG[n] = true
-			c.addEdgeNew(n, Bottom)
+			c.addEdge(n, Bottom)
 			ready[n] = true
 		case int(n) < len(potentialSpill) && potentialSpill[n]:
 			inCPG[n] = true
-			c.addEdgeNew(n, Bottom)
+			c.addEdge(n, Bottom)
 		}
 	}
 
-	// Steps 5–9: replay the removal sequence.
+	// Steps 5–9: replay the removal sequence. Every edge points from an
+	// unpopped node at an earlier-popped one (or at Bottom), so a
+	// popped node's row never changes again: later edges point into
+	// it, and pruning only edits rows of unpopped nodes. What n reaches
+	// is therefore final at its pop, and one word-OR of its successors'
+	// memoized descendant rows computes it.
 	remaining := c.remaining
 	defer func() { c.remaining = remaining }()
 	for _, n := range stack {
@@ -186,8 +170,6 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 		if !inCPG[n] {
 			return fmt.Errorf("core.BuildCPG: node %d popped before appearing in the CPG (stack inconsistent with graph)", n)
 		}
-		// The word loop visits bits in ascending node order, so
-		// remaining is already sorted.
 		remaining = remaining[:0]
 		for wi, w := range g.OrigRow(n) {
 			base := ig.NodeID(wi << 6)
@@ -200,44 +182,39 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 		for _, nb := range remaining {
 			inCPG[nb] = true
 		}
-		// Step 7: non-ready remaining neighbors must precede n. This
-		// is addEdgeReduced specialized to the replay's ordering: every
-		// edge inserted so far points at an earlier-popped node and n
-		// gains its first in-edges right here, so no path nb⇝n can
-		// exist yet and the transitive-skip test is vacuous. What n
-		// reaches is likewise fixed for the whole pop (n gains only
-		// in-edges, and the removals happen at unpopped nodes n cannot
-		// reach), so a single DFS from n serves every neighbor instead
-		// of the two DFS walks addEdgeReduced pays per edge.
+
+		// desc[n] = succ[n] ∪ ⋃ desc[s] over n's successors s.
+		ni := cpgIdx(n)
+		succ := c.row(ni)
+		desc := c.desc[ni*words : (ni+1)*words : (ni+1)*words]
+		copy(desc, succ)
+		for wi, sw := range succ {
+			for ; sw != 0; sw &= sw - 1 {
+				si := wi<<6 + bits.TrailingZeros64(sw)
+				for j, x := range c.desc[si*words : (si+1)*words] {
+					desc[j] |= x
+				}
+			}
+		}
+
+		// Step 7: non-ready remaining neighbors must precede n. No path
+		// nb⇝n exists yet (n has no in-edges before this pop), so the
+		// edge is always kept, and it makes every edge from nb to
+		// something n reaches transitive — Bottom included.
 		sawNonReady := false
-		descMarked := false
 		for _, nb := range remaining {
 			if ready[nb] {
 				continue
 			}
 			sawNonReady = true
-			c.addEdgeNew(nb, n)
-			succs := c.succsOf(nb)
-			if len(succs) == 1 {
-				continue
+			r := c.row(cpgIdx(nb))
+			for j, x := range desc {
+				r[j] &^= x
 			}
-			if !descMarked {
-				c.markFrom(n)
-				descMarked = true
-			}
-			// Snapshot-then-find, not index-based removal: repeated
-			// swap-removes permute the survivors differently depending
-			// on iteration direction, and downstream selection order
-			// (hence the golden digests) observes row order.
-			c.scratch = append(c.scratch[:0], succs...)
-			for _, x := range c.scratch {
-				if x != n && c.marked(x) {
-					c.removeEdge(nb, x)
-				}
-			}
+			setBit(r, ni)
 		}
 		if !sawNonReady {
-			c.addEdgeNew(Top, n)
+			c.addEdge(Top, n)
 		}
 		// Step 8: removal may make neighbors removable.
 		for _, nb := range remaining {
@@ -250,203 +227,63 @@ func buildCPGInto(c *CPG, g *ig.Graph, stack []ig.NodeID, potentialSpill []bool,
 	return nil
 }
 
-func (c *CPG) addEdge(a, b ig.NodeID) {
-	ai, bi := cpgIdx(a), cpgIdx(b)
-	if ai > bi {
-		c.ensure(ai)
-	} else {
-		c.ensure(bi)
-	}
-	for _, s := range c.succs[ai] {
-		if s == b {
-			return
-		}
-	}
-	c.addEdgeAt(ai, bi, a, b)
-}
-
-// addEdgeNew is addEdge for callers that guarantee both slots exist
-// and the edge is absent, skipping the growth and duplicate checks.
-// buildCPGInto satisfies both by construction, and the checks were a
-// measurable share of its replay loop.
-func (c *CPG) addEdgeNew(a, b ig.NodeID) {
-	c.addEdgeAt(cpgIdx(a), cpgIdx(b), a, b)
-}
-
-func (c *CPG) addEdgeAt(ai, bi int, a, b ig.NodeID) {
-	c.succPos[ai] = append(c.succPos[ai], int32(len(c.preds[bi])))
-	c.predPos[bi] = append(c.predPos[bi], int32(len(c.succs[ai])))
-	c.succs[ai] = append(c.succs[ai], b)
-	c.preds[bi] = append(c.preds[bi], a)
-}
-
-// removeEdge deletes a→b. Cost: one scan of a's successor row (small —
-// bounded by what transitive reduction leaves) plus two swap-removes;
-// b's predecessor row, which may be huge (Bottom's holds almost every
-// node), is never scanned thanks to the positional back-pointers.
-func (c *CPG) removeEdge(a, b ig.NodeID) {
-	ai := cpgIdx(a)
-	sl := c.succs[ai]
-	j := -1
-	for idx, s := range sl {
-		if s == b {
-			j = idx
-			break
-		}
-	}
-	if j < 0 {
-		return
-	}
-	c.removeEdgeAt(ai, j)
-}
-
-// removeEdgeAt deletes the edge at index j of slot ai's successor row,
-// for callers that already know the position.
-func (c *CPG) removeEdgeAt(ai, j int) {
-	sl := c.succs[ai]
-	bi := cpgIdx(sl[j])
-	pi := int(c.succPos[ai][j])
-
-	last := len(sl) - 1
-	if j != last {
-		moved := sl[last] // edge a→moved slides into slot j
-		c.predPos[cpgIdx(moved)][c.succPos[ai][last]] = int32(j)
-		sl[j] = moved
-		c.succPos[ai][j] = c.succPos[ai][last]
-	}
-	c.succs[ai] = sl[:last]
-	c.succPos[ai] = c.succPos[ai][:last]
-
-	pl := c.preds[bi]
-	last = len(pl) - 1
-	if pi != last {
-		moved := pl[last] // edge moved→b slides into slot pi
-		c.succPos[cpgIdx(moved)][c.predPos[bi][last]] = int32(pi)
-		pl[pi] = moved
-		c.predPos[bi][pi] = c.predPos[bi][last]
-	}
-	c.preds[bi] = pl[:last]
-	c.predPos[bi] = c.predPos[bi][:last]
-}
-
-// addEdgeReduced adds u→n keeping the graph transitively reduced: the
-// edge is skipped if a path u⇝n already exists, and existing edges
-// u→x that the new edge makes transitive (n⇝x) are removed. One DFS
-// from n marks everything n reaches; testing each successor against
-// the marks replaces the per-successor DFS the naive form needs (the
-// CPG is a DAG, so edge removals at u cannot change what n reaches).
-func (c *CPG) addEdgeReduced(u, n ig.NodeID) {
-	if c.reachable(u, n) {
-		return
-	}
-	c.addEdge(u, n)
-	succs := c.succsOf(u)
-	if len(succs) == 1 {
-		return
-	}
-	c.markFrom(n)
-	c.scratch = append(c.scratch[:0], succs...)
-	for _, x := range c.scratch {
-		if x != n && c.marked(x) {
-			c.removeEdge(u, x)
-		}
-	}
-}
-
-// mark records n as visited in the current epoch, reporting whether it
-// was newly marked.
-func (c *CPG) mark(n ig.NodeID) bool {
-	i := cpgIdx(n)
-	for i >= len(c.visitMark) {
-		c.visitMark = append(c.visitMark, 0)
-	}
-	if c.visitMark[i] == c.visitEpoch {
-		return false
-	}
-	c.visitMark[i] = c.visitEpoch
-	return true
-}
-
-// marked reports whether n was visited in the current epoch.
-func (c *CPG) marked(n ig.NodeID) bool {
-	i := cpgIdx(n)
-	return i < len(c.visitMark) && c.visitMark[i] == c.visitEpoch
-}
-
-// markFrom starts a fresh epoch and marks every node reachable from a
-// (including a itself).
-func (c *CPG) markFrom(a ig.NodeID) {
-	c.visitEpoch++
-	c.mark(a)
-	c.work = append(c.work[:0], a)
-	for len(c.work) > 0 {
-		x := c.work[len(c.work)-1]
-		c.work = c.work[:len(c.work)-1]
-		for _, s := range c.succsOf(x) {
-			if c.mark(s) {
-				c.work = append(c.work, s)
-			}
-		}
-	}
-}
-
-// reachable reports whether a path a⇝b exists.
-func (c *CPG) reachable(a, b ig.NodeID) bool {
-	if a == b {
-		return true
-	}
-	c.visitEpoch++
-	c.mark(a)
-	c.work = append(c.work[:0], a)
-	for len(c.work) > 0 {
-		x := c.work[len(c.work)-1]
-		c.work = c.work[:len(c.work)-1]
-		for _, s := range c.succsOf(x) {
-			if s == b {
-				return true
-			}
-			if c.mark(s) {
-				c.work = append(c.work, s)
-			}
-		}
-	}
-	return false
-}
-
-// Succs returns the successors of n (sorted copy).
+// Succs returns the successors of n, sorted.
 func (c *CPG) Succs(n ig.NodeID) []ig.NodeID {
-	out := append([]ig.NodeID(nil), c.succsOf(n)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []ig.NodeID
+	for wi, w := range c.succRow(n) {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, ig.NodeID(wi<<6+bits.TrailingZeros64(w)-2))
+		}
+	}
 	return out
 }
 
-// Preds returns the predecessors of n (sorted copy).
+// Preds returns the predecessors of n, sorted.
 func (c *CPG) Preds(n ig.NodeID) []ig.NodeID {
-	out := append([]ig.NodeID(nil), c.predsOf(n)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []ig.NodeID
+	if ni := cpgIdx(n); ni >= 0 && ni < c.slots {
+		for i := 0; i < c.slots; i++ {
+			if hasBit(c.row(i), ni) {
+				out = append(out, ig.NodeID(i-2))
+			}
+		}
+	}
 	return out
 }
 
 // HasEdge reports whether the edge a→b is present.
 func (c *CPG) HasEdge(a, b ig.NodeID) bool {
-	for _, s := range c.succsOf(a) {
-		if s == b {
-			return true
-		}
-	}
-	return false
+	row := c.succRow(a)
+	bi := cpgIdx(b)
+	return row != nil && bi >= 0 && bi < c.slots && hasBit(row, bi)
 }
 
 // Nodes returns every real (non-pseudo) node mentioned by the CPG,
-// sorted.
+// sorted: those with a successor or a predecessor.
 func (c *CPG) Nodes() []ig.NodeID {
+	targets := make([]uint64, c.words)
+	for i := 0; i < c.slots; i++ {
+		for j, x := range c.row(i) {
+			targets[j] |= x
+		}
+	}
 	var out []ig.NodeID
-	for i := cpgIdx(0); i < len(c.succs); i++ {
-		if len(c.succs[i]) > 0 || len(c.preds[i]) > 0 {
+	for i := cpgIdx(0); i < c.slots; i++ {
+		if hasBit(targets, i) || !emptyRow(c.row(i)) {
 			out = append(out, ig.NodeID(i-2))
 		}
 	}
 	return out
+}
+
+// emptyRow reports whether row has no bit set.
+func emptyRow(row []uint64) bool {
+	for _, w := range row {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Dump renders the CPG deterministically for golden tests, naming

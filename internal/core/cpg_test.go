@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"prefcolor/internal/ig"
@@ -75,28 +77,28 @@ func TestCPGPotentialSpillNotReady(t *testing.T) {
 }
 
 func TestCPGTransitiveReduction(t *testing.T) {
-	c := &CPG{}
+	c := &refCPG{}
 	c.addEdgeReduced(1, 2)
 	c.addEdgeReduced(2, 3)
 	// 1→3 is implied by 1→2→3 and must be skipped.
 	c.addEdgeReduced(1, 3)
-	if c.HasEdge(1, 3) {
+	if slices.Contains(c.succsOf(1), 3) {
 		t.Error("transitive edge 1->3 was added")
 	}
 	// Adding 4→2 then 2→... and a pre-existing 4→3 must drop 4→3 when
 	// 3 becomes reachable through the new edge.
 	c.addEdgeReduced(4, 3)
 	c.addEdgeReduced(4, 2) // 4→2→3 makes 4→3 transitive
-	if c.HasEdge(4, 3) {
+	if slices.Contains(c.succsOf(4), 3) {
 		t.Error("edge 4->3 should have been removed as transitive")
 	}
-	if !c.HasEdge(4, 2) || !c.HasEdge(2, 3) {
+	if !slices.Contains(c.succsOf(4), 2) || !slices.Contains(c.succsOf(2), 3) {
 		t.Error("reduction removed a needed edge")
 	}
 }
 
 func TestCPGReachable(t *testing.T) {
-	c := &CPG{}
+	c := &refCPG{}
 	c.addEdge(1, 2)
 	c.addEdge(2, 3)
 	if !c.reachable(1, 3) || c.reachable(3, 1) || !c.reachable(2, 2) {
@@ -107,11 +109,23 @@ func TestCPGReachable(t *testing.T) {
 func TestCPGRejectsBadStack(t *testing.T) {
 	g := ig.NewGraph(2, 2)
 	g.Freeze()
-	if _, err := BuildCPG(g, []ig.NodeID{0}, nil, 2); err == nil {
-		t.Error("physical node on stack not rejected")
-	}
-	if _, err := BuildCPG(g, []ig.NodeID{2, 2}, nil, 2); err == nil {
-		t.Error("duplicate stack entry not rejected")
+	triangle := lineGraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	for _, tc := range []struct {
+		name  string
+		g     *ig.Graph
+		stack []ig.NodeID
+		want  string
+	}{
+		{"physical", g, []ig.NodeID{0}, "physical node 0 on the stack"},
+		{"twice", g, []ig.NodeID{2, 3, 2}, "node 2 on the stack twice"},
+		// With K=2 every triangle node is significant, and without a
+		// potential-spill mark node 0 never enters the CPG.
+		{"unmaterialized", triangle, []ig.NodeID{0, 1, 2}, "node 0 popped before appearing in the CPG"},
+	} {
+		_, err := BuildCPG(tc.g, tc.stack, nil, 2)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

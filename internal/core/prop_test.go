@@ -148,12 +148,13 @@ func TestPropCPGStructure(t *testing.T) {
 			return false
 		}
 		// Acyclic: reachable(n, n) only via the trivial path.
+		ref := refFromCPG(cpg)
 		for _, n := range nodes {
 			for _, s := range cpg.Succs(n) {
 				if s == Bottom {
 					continue
 				}
-				if cpg.reachable(s, n) {
+				if ref.reachable(s, n) {
 					t.Logf("seed %d: cycle through %d -> %d", seed, n, s)
 					return false
 				}
